@@ -12,7 +12,7 @@ export PYTHONPATH := src
 COV_FLAGS := $(shell $(PYTHON) -c "import pytest_cov" 2>/dev/null && echo --cov=repro --cov-fail-under=85)
 XDIST_FLAGS := $(shell $(PYTHON) -c "import xdist" 2>/dev/null && echo -n auto)
 
-.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke bench-micro experiments charts lint-clean all
+.PHONY: install test test-fast smoke serve-smoke serve-bench serve-bench-smoke bench bench-smoke bench-micro perfbench experiments charts lint-clean all
 
 install:
 	$(PYTHON) setup.py develop
@@ -76,6 +76,15 @@ bench-smoke:
 # The original pytest-benchmark micro suite (per-exhibit + substrate).
 bench-micro:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repository benchmark (perfbench/NOTES.md): end-to-end set-up
+# time, wall time and peak RSS of the three ways the repository is used.
+# Each run checks its outputs and exits 1 on a mismatch; results and
+# cached inputs go under .perfbench-out/.
+perfbench:
+	for workload in exhibits replay-long serve; do \
+		python3 perfbench/run.py --workload $$workload || exit 1; \
+	done
 
 experiments:
 	$(PYTHON) -m repro.experiments all --out results/

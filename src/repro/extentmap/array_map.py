@@ -18,25 +18,36 @@ with an LSM-flavoured split:
   small.  Resolution composes the levels: the overlay wins wherever it
   has a mapping; the base fills the rest; anything unmapped is a hole.
 
-When the overlay reaches ``flush_threshold`` extents it is merged into
-the base in one vectorized pass (:meth:`flush`): base extents are cut at
-overlay boundaries, covered pieces dropped, survivors rank-merged with
-the overlay extents, and logically+physically contiguous neighbours
-coalesced back to canonical form.  Flushing is semantically invisible —
-it never changes what any lookup returns — so results are independent of
-the threshold (property-tested in
-``tests/extentmap/test_array_map_properties.py`` and pinned bit-for-bit
-against :class:`ExtentMap` by the differential suite).
+Writes reach the base through one vectorized merge of overwrite rows
+applied in order.  Only the base extents the rows overlap, plus the
+nearest extent on either side of each row, are rebuilt: those extents
+and the rows (on top) are cut into elementary segments at every
+boundary, each segment takes the latest row covering it (last writer
+wins), the segments are coalesced back to canonical form, and the result
+is spliced in among the extents copied through unchanged.  Two callers
+use it:
 
-The batch entry points (:meth:`map_range_batch`,
-:meth:`lookup_pieces_batch`) let the replay kernels resolve a whole run
-of operations with one boundary search per array call instead of one per
-op; see :mod:`repro.core.batch`.
+* :meth:`flush`, when the overlay reaches ``flush_threshold`` extents,
+  merges the overlay.  Flushing is semantically invisible — it never
+  changes what any lookup returns — so results are independent of the
+  threshold (property-tested in
+  ``tests/extentmap/test_array_map_properties.py`` and pinned
+  bit-for-bit against :class:`ExtentMap` by the differential suite).
+* :meth:`map_range_batch` merges a whole write run from the replay
+  kernels (:mod:`repro.core.batch`), pending overlay first, so
+  intra-batch overwrites land exactly as row-by-row ones would
+  (``tests/extentmap/test_array_map_batch.py``).  Only batches too small
+  to pay for a pass over the base go through the overlay row by row.
+  After a merged batch the overlay is empty, so the reads that follow
+  resolve entirely against the base.
 
-``map_range`` itself touches numpy only inside a flush: steady-state
-writes are pure small-list operations, and the capacity buffers are
-reused across flushes (``realloc_count`` stays flat once the map's size
-plateaus — asserted by the perf tripwire test).
+:meth:`lookup_pieces_batch` resolves a whole run of reads with one
+boundary search per array call instead of one per op.
+
+``map_range`` touches numpy only inside a flush: single writes are pure
+small-list operations.  The capacity buffers are reused across merges
+(``realloc_count`` stays flat once the map's size plateaus — asserted by
+the perf tripwire tests).
 """
 
 from __future__ import annotations
@@ -60,6 +71,16 @@ DEFAULT_FLUSH_THRESHOLD = 4096
 #: each dirty query.  Read-heavy hot-data workloads hit the overlay with
 #: nearly every read; below the bound the splice path is cheaper.
 _FLUSH_ON_DIRTY_QUERIES = 24
+
+#: :meth:`ArrayExtentMap.map_range_batch` cut-over: batches (with the
+#: pending overlay) of at least ``_VECTOR_BATCH_MIN_ROWS`` rows plus one
+#: per ``_BASE_EXTENTS_PER_ROW`` base extents resolve with array
+#: operations; smaller ones go through the overlay row by row.  A merge
+#: costs a fixed part plus a pass over the base, a row through the
+#: overlay a Python call; measured break-even on 2 CPUs is ~50 rows on an
+#: empty base and ~350 on 60k extents.
+_VECTOR_BATCH_MIN_ROWS = 64
+_BASE_EXTENTS_PER_ROW = 128
 
 _I8 = np.int64
 
@@ -203,21 +224,53 @@ class ArrayExtentMap(AddressMap):
     ) -> None:
         """Apply many overwrites in order.
 
-        Exactly equivalent to calling :meth:`map_range` per row (same
-        results, same validation errors at the same row); the batch form
-        saves per-call dispatch and lets the kernels hand over a whole
-        write run at once.
+        Exactly equivalent to calling :meth:`map_range` per row: same
+        final mapping, and on an invalid row the rows before it are
+        applied and the same ``ValueError`` is raised.
+
+        A batch that, together with the pending overlay, has at least
+        ``min(flush_threshold, 64 + n // 128)`` rows over an ``n``-extent
+        base is resolved with array operations, in the same merge
+        :meth:`flush` uses, with the overlay's extents as the oldest
+        rows: every elementary segment between row boundaries takes the
+        latest row covering it (last writer wins), so intra-batch
+        overwrites land as they would row by row.  That counts as one
+        flush.  Smaller batches go through the overlay one row at a
+        time, where a short list insert is cheaper than a pass over the
+        base.
         """
-        overlay_map_range = self._overlay.map_range
-        overlay = self._overlay
-        threshold = self._flush_threshold
-        self._overlay_bounds_cache = None
-        for row in zip(lba.tolist(), pba.tolist(), length.tolist()):
-            overlay_map_range(*row)
-            if len(overlay) >= threshold:
-                self.flush()
-                overlay = self._overlay
-                overlay_map_range = overlay.map_range
+        lba = np.asarray(lba, dtype=_I8)
+        pba = np.asarray(pba, dtype=_I8)
+        length = np.asarray(length, dtype=_I8)
+        n_rows = len(lba)
+        cut_over = min(
+            self._flush_threshold,
+            _VECTOR_BATCH_MIN_ROWS + self._n // _BASE_EXTENTS_PER_ROW,
+        )
+        if n_rows + len(self._overlay) < cut_over:
+            overlay = self._overlay
+            self._overlay_bounds_cache = None
+            for row in zip(lba.tolist(), pba.tolist(), length.tolist()):
+                overlay.map_range(*row)
+                if len(overlay) >= self._flush_threshold:
+                    self.flush()
+                    overlay = self._overlay
+            return
+        bad = (length <= 0) | (lba < 0) | (pba < 0)
+        stop = int(bad.argmax()) if bad.any() else n_rows
+        if stop:
+            o_lba, o_pba, o_len = self._overlay.extent_arrays()
+            self._merge_rows(
+                np.concatenate((o_lba, lba[:stop])),
+                np.concatenate((o_pba, pba[:stop])),
+                np.concatenate((o_lba + o_len, lba[:stop] + length[:stop])),
+            )
+        if stop < n_rows:
+            # The overlay's map_range validates before mutating: this
+            # raises the exact per-row error for the first invalid row.
+            self._overlay.map_range(
+                int(lba[stop]), int(pba[stop]), int(length[stop])
+            )
 
     def lookup_pieces_batch(
         self, lba: np.ndarray, length: np.ndarray
@@ -300,7 +353,7 @@ class ArrayExtentMap(AddressMap):
         validate_extent_rows(lba, length)
         instance = cls()
         if len(lba):
-            instance._install_base(*_coalesce(lba, pba, lba + length))
+            instance._install_base(*_coalesce(lba, pba, lba + length)[:3])
         return instance
 
     def flush(self) -> None:
@@ -310,77 +363,85 @@ class ArrayExtentMap(AddressMap):
         of reads) can pay the merge at a moment of their choosing; never
         required for correctness.
         """
-        overlay = self._overlay
-        n_overlay = len(overlay)
-        if n_overlay == 0:
+        if not len(self._overlay):
             return
-        o_lba, o_pba, o_len = overlay.extent_arrays()
-        o_end = o_lba + o_len
-        n = self._n
-        if n == 0:
-            self._install_base(o_lba, o_pba, o_end)
-        else:
-            base_lba = self._lba[:n]
-            base_pba = self._pba[:n]
-            base_end = self._end[:n]
-            # 1. Cut base extents at overlay boundaries so every piece is
-            # either fully covered by the overlay or fully clear of it.
-            cuts = np.unique(np.concatenate((o_lba, o_end)))
-            lo = np.searchsorted(cuts, base_lba, side="right")
-            hi = np.searchsorted(cuts, base_end, side="left")
-            inner = hi - lo
-            counts = inner + 1
-            offsets = np.empty(n + 1, dtype=_I8)
-            offsets[0] = 0
-            np.cumsum(counts, out=offsets[1:])
-            total = int(offsets[-1])
-            piece_start = np.empty(total, dtype=_I8)
-            piece_start[offsets[:-1]] = base_lba
-            if total > n:
-                src = np.repeat(lo, inner) + _ranges(inner)
-                dst = np.repeat(offsets[:-1] + 1, inner) + _ranges(inner)
-                piece_start[dst] = cuts[src]
-            piece_end = np.empty(total, dtype=_I8)
-            piece_end[: total - 1] = piece_start[1:]
-            piece_end[offsets[1:] - 1] = base_end
-            extent_id = np.repeat(np.arange(n, dtype=_I8), counts)
-            piece_pba = base_pba[extent_id] + (piece_start - base_lba[extent_id])
-            # 2. Drop pieces the overlay overwrites (a piece never crosses
-            # an overlay boundary, so containment of its start suffices).
-            containing = np.searchsorted(o_lba, piece_start, side="right") - 1
-            covered = (containing >= 0) & (
-                o_end[np.maximum(containing, 0)] > piece_start
-            )
-            keep = ~covered
-            kept_start = piece_start[keep]
-            kept_end = piece_end[keep]
-            kept_pba = piece_pba[keep]
-            # 3. Rank-merge survivors with the overlay extents (both
-            # sorted, mutually disjoint — no ties possible).
-            n_kept = len(kept_start)
-            pos_base = np.arange(n_kept, dtype=_I8) + np.searchsorted(o_lba, kept_start)
-            pos_overlay = np.arange(n_overlay, dtype=_I8) + np.searchsorted(
-                kept_start, o_lba
-            )
-            merged = n_kept + n_overlay
-            m_lba = np.empty(merged, dtype=_I8)
-            m_pba = np.empty(merged, dtype=_I8)
-            m_end = np.empty(merged, dtype=_I8)
-            m_lba[pos_base] = kept_start
-            m_pba[pos_base] = kept_pba
-            m_end[pos_base] = kept_end
-            m_lba[pos_overlay] = o_lba
-            m_pba[pos_overlay] = o_pba
-            m_end[pos_overlay] = o_end
-            # 4. Coalesce back to canonical (merge-maximal) form.
-            self._install_base(*_coalesce(m_lba, m_pba, m_end))
-        self._overlay = ExtentMap()
-        self._overlay_bounds_cache = None
-        self.flush_count += 1
+        o_lba, o_pba, o_len = self._overlay.extent_arrays()
+        self._merge_rows(o_lba, o_pba, o_lba + o_len)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+
+    def _merge_rows(
+        self, row_lba: np.ndarray, row_pba: np.ndarray, row_end: np.ndarray
+    ) -> None:
+        """Apply overwrite rows ``[row_lba, row_end) -> row_pba`` in order
+        (later rows win) to the base in one vectorized pass, and drop the
+        overlay, whose mappings the rows must already carry.  Counts as
+        one flush.
+
+        Only the base extents a row overlaps, plus the nearest extent on
+        either side of each row, are rebuilt; all others are copied
+        through.  That is exact: an extent no row touches keeps its
+        mapping, and the only new neighbour it could coalesce with is a
+        row right next to it, which makes it a rebuilt extent.
+        """
+        n = self._n
+        base_lba = self._lba[:n]
+        base_pba = self._pba[:n]
+        base_end = self._end[:n]
+        # 1. Pick the extents to rebuild: per row, the index range from
+        # its left neighbour to its right neighbour.  Walked in LBA order
+        # (sorted keys also search several times faster), each range is
+        # clipped to start past every earlier one, so the ranges are
+        # disjoint and expand to at most n sorted indices however much
+        # the rows overlap.
+        by_lba = np.argsort(row_lba)
+        lo = np.maximum(
+            np.searchsorted(base_end, row_lba[by_lba], side="right") - 1, 0
+        )
+        hi = np.minimum(
+            np.searchsorted(base_lba, row_end[by_lba], side="left") + 1, n
+        )
+        start = lo.copy()
+        np.maximum(start[1:], np.maximum.accumulate(hi[:-1]), out=start[1:])
+        span = np.maximum(hi - start, 0)
+        ids = np.repeat(start, span) + _ranges(span)
+        ext_lba = base_lba[ids]
+        # 2. Resolve them with the rows on top (last writer wins).
+        new_lba, new_pba, new_end, source = _last_writer_rows(
+            np.concatenate((ext_lba, row_lba)),
+            np.concatenate((base_pba[ids], row_pba)),
+            np.concatenate((base_end[ids], row_end)),
+        )
+        # 3. Splice the result in among the copied-through extents.  The
+        # copied extents left of a new row are those left of its source:
+        # for a rebuilt extent, the base extents before it that were not
+        # rebuilt; for a row, the same count at its left neighbour.
+        row_copied = np.empty(len(lo), dtype=_I8)
+        row_copied[by_lba] = lo - np.searchsorted(ids, lo)
+        copied_before = np.concatenate(
+            (ids - np.arange(len(ids), dtype=_I8), row_copied)
+        )
+        n_new = len(new_lba)
+        at = np.arange(n_new, dtype=_I8) + copied_before[source]
+        n_out = n - len(ids) + n_new
+        copied = np.ones(n_out, dtype=bool)
+        copied[at] = False
+        through = np.ones(n, dtype=bool)
+        through[ids] = False
+        out = []
+        for base_col, new_col in (
+            (base_lba, new_lba), (base_pba, new_pba), (base_end, new_end)
+        ):
+            col = np.empty(n_out, dtype=_I8)
+            col[copied] = base_col[through]
+            col[at] = new_col
+            out.append(col)
+        self._install_base(*out)
+        self._overlay = ExtentMap()
+        self._overlay_bounds_cache = None
+        self.flush_count += 1
 
     def _install_base(
         self, lba: np.ndarray, pba: np.ndarray, end: np.ndarray
@@ -571,9 +632,69 @@ class ArrayExtentMap(AddressMap):
         return out_pba, out_len, out_hole, offsets
 
 
+def _last_writer_rows(lba: np.ndarray, pba: np.ndarray, end: np.ndarray):
+    """Canonical rows for overwrite rows applied in order (later rows
+    win): cut at every row boundary, give each elementary segment its
+    latest covering row, then coalesce.  Also returns, per output row,
+    the input row its first sector came from."""
+    points = np.concatenate((lba, end))
+    order = np.argsort(points)
+    ordered = points[order]
+    fresh = np.empty(len(points), dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    cuts = ordered[fresh]
+    slot = np.empty(len(points), dtype=_I8)  # each point's index in cuts
+    slot[order] = np.cumsum(fresh) - 1
+    n_rows = len(lba)
+    owner = _latest_cover(slot[:n_rows], slot[n_rows:], len(cuts) - 1)
+    segment = np.flatnonzero(owner >= 0)
+    row = owner[segment]
+    seg_lba = cuts[segment]
+    *merged, starts = _coalesce(
+        seg_lba, pba[row] + (seg_lba - lba[row]), cuts[segment + 1]
+    )
+    return (*merged, row[starts])
+
+
+def _latest_cover(first: np.ndarray, stop: np.ndarray, n_slots: int) -> np.ndarray:
+    """Per slot ``s < n_slots``: the largest row ``i`` with
+    ``first[i] <= s < stop[i]``, or -1 where no row covers it.
+
+    A bottom-up segment tree over the slots: each row's range splits into
+    O(log n_slots) canonical nodes (one vectorized step per tree level),
+    and a top-down pass carries every node's maximum to its leaves.  Work
+    is O(rows · log n_slots + n_slots) however much the rows overlap —
+    never the rows × covered-slots expansion.
+    """
+    size = 1 << max(n_slots - 1, 0).bit_length()
+    tree = np.full(2 * size, -1, dtype=_I8)
+    row = np.arange(len(first), dtype=_I8)
+    lo = first + size
+    hi = stop + size
+    while len(row):
+        odd = (lo & 1).astype(bool)
+        np.maximum.at(tree, lo[odd], row[odd])
+        lo += odd
+        odd = (hi & 1).astype(bool)
+        hi -= odd
+        np.maximum.at(tree, hi[odd], row[odd])
+        lo >>= 1
+        hi >>= 1
+        live = lo < hi
+        row, lo, hi = row[live], lo[live], hi[live]
+    width = 1
+    while width < size:
+        children = tree[2 * width : 4 * width]
+        np.maximum(children, np.repeat(tree[width : 2 * width], 2), out=children)
+        width *= 2
+    return tree[size : size + n_slots]
+
+
 def _coalesce(lba: np.ndarray, pba: np.ndarray, end: np.ndarray):
     """Merge adjacent rows that are both logically and physically
-    contiguous (canonical merge-maximal form).  Inputs sorted, disjoint."""
+    contiguous (canonical merge-maximal form).  Inputs sorted, disjoint.
+    Also returns the input index each merged row starts at."""
     n = len(lba)
     breaks = np.empty(n, dtype=bool)
     breaks[0] = True
@@ -584,4 +705,4 @@ def _coalesce(lba: np.ndarray, pba: np.ndarray, end: np.ndarray):
     )
     starts = np.flatnonzero(breaks)
     run_end = end[np.append(starts[1:], n) - 1]
-    return lba[starts], pba[starts], run_end
+    return lba[starts], pba[starts], run_end, starts

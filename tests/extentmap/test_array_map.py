@@ -178,3 +178,43 @@ class TestSteadyStateAllocation:
         amap.flush()
         assert amap.flush_count > flushes_before
         assert amap.realloc_count == reallocs_before
+
+    def test_batches_recycle_buffers(self):
+        """Perf tripwire: repeated batches over the same address space
+        merge into the base without growing its buffers."""
+        amap = ArrayExtentMap(flush_threshold=256)
+        rng = np.random.default_rng(3)
+        for round_ in range(16):
+            if round_ == 8:  # the map's size has plateaued
+                reallocs = amap.realloc_count
+                flushes = amap.flush_count
+            lba = rng.integers(0, 20_000, size=2_048).astype(np.int64)
+            length = np.full(2_048, 8, dtype=np.int64)
+            pba = 1_000_000 * (round_ + 1) + 8 * np.arange(2_048, dtype=np.int64)
+            amap.map_range_batch(lba, pba, length)
+        assert amap.flush_count == flushes + 8
+        assert amap.realloc_count == reallocs
+
+    def test_long_batch_has_no_per_row_inserts(self, monkeypatch):
+        """Perf tripwire: a batch of at least ``flush_threshold`` rows is
+        resolved with array operations — not one ``ExtentMap.map_range``
+        call per row — and counts as exactly one merge into the base."""
+        amap = ArrayExtentMap(flush_threshold=512)
+        rng = np.random.default_rng(5)
+        lba = rng.integers(0, 50_000, size=4_000).astype(np.int64)
+        for i, row_lba in enumerate(lba[:600].tolist()):
+            amap.map_range(row_lba, 10 * i, 4)  # a base plus a pending overlay
+        assert len(amap._overlay) and amap._n
+        calls = []
+        scalar = ExtentMap.map_range
+        monkeypatch.setattr(
+            ExtentMap,
+            "map_range",
+            lambda self, *row: calls.append(row) or scalar(self, *row),
+        )
+        flushes = amap.flush_count
+        length = np.full(512, 3, dtype=np.int64)
+        amap.map_range_batch(lba[:512], 7_000_000 + 3 * np.arange(512), length)
+        assert calls == []
+        assert amap.flush_count == flushes + 1
+        assert len(amap._overlay) == 0
