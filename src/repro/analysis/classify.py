@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.outcomes import SimStats
 from repro.trace.trace import Trace
 
@@ -97,44 +99,60 @@ class WorkloadCharacter:
         return LogSensitivity.LOG_FRIENDLY
 
 
+def _block_ranges(lba: np.ndarray, length: np.ndarray):
+    """Expand requests into the 4 KiB blocks they touch.
+
+    Returns ``(blocks, counts)``: every touched block in request order, and
+    the number of blocks each request touches (always >= 1).
+    """
+    first = lba // 8
+    counts = (lba + length - 1) // 8 - first + 1
+    offsets = np.cumsum(counts) - counts
+    blocks = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        first - offsets, counts
+    )
+    return blocks, counts
+
+
 def characterize(trace: Trace) -> WorkloadCharacter:
-    """Extract the predictive features from a trace in one pass."""
-    reads = 0
-    writes = 0
-    sequential_reads = 0
+    """Extract the predictive features from a trace's columns.
+
+    Works on 4 KiB blocks and each block's *first-write* op index: a write
+    overwrites every block it touches except on that block's first write,
+    and a read is mixed when its range holds both a block first written
+    before it and a block not written before it.
+    """
+    is_read, lba, length = trace.as_arrays()
+    n_ops = len(lba)
+    writes = ~is_read
+    w_blocks, w_counts = _block_ranges(lba[writes], length[writes])
+    written_blocks, first_touch = np.unique(w_blocks, return_index=True)
+    overwritten = 8 * (len(w_blocks) - len(written_blocks))
+    written_total = int(length[writes].sum())
+
+    r_lba, r_length = lba[is_read], length[is_read]
+    reads = len(r_lba)
+    writes_count = n_ops - reads
+    sequential_reads = int(np.count_nonzero(r_lba[1:] == (r_lba + r_length)[:-1]))
     mixed_reads = 0
-    overwritten = 0
-    written_total = 0
-    last_read_end = None
-    written = set()  # 4 KiB blocks written so far
-    for request in trace:
-        first = request.lba // 8
-        last = (request.end - 1) // 8
-        if request.is_read:
-            reads += 1
-            if last_read_end is not None and request.lba == last_read_end:
-                sequential_reads += 1
-            last_read_end = request.end
-            touches_written = any(
-                block in written for block in range(first, last + 1)
-            )
-            touches_unwritten = any(
-                block not in written for block in range(first, last + 1)
-            )
-            if touches_written and touches_unwritten:
-                mixed_reads += 1
-        else:
-            writes += 1
-            written_total += request.length
-            for block in range(first, last + 1):
-                if block in written:
-                    overwritten += 8
-                else:
-                    written.add(block)
+    if reads:
+        # First-write op index per block; a trailing sentinel key catches
+        # never-written blocks, which count as written after the trace.
+        keys = np.append(written_blocks, np.iinfo(np.int64).max)
+        write_at = np.flatnonzero(writes)
+        written_at = np.append(np.repeat(write_at, w_counts)[first_touch], n_ops)
+        r_blocks, r_counts = _block_ranges(r_lba, r_length)
+        slot = np.searchsorted(keys, r_blocks)
+        block_written_at = np.where(keys[slot] == r_blocks, written_at[slot], n_ops)
+        starts = np.cumsum(r_counts) - r_counts
+        read_at = np.flatnonzero(is_read)
+        touches_written = np.minimum.reduceat(block_written_at, starts) < read_at
+        touches_unwritten = np.maximum.reduceat(block_written_at, starts) > read_at
+        mixed_reads = int(np.count_nonzero(touches_written & touches_unwritten))
     return WorkloadCharacter(
-        write_intensity=(writes / reads) if reads else float("inf"),
+        write_intensity=(writes_count / reads) if reads else float("inf"),
         sequential_read_share=(sequential_reads / reads) if reads else 0.0,
         overwrite_ratio=(overwritten / written_total) if written_total else 0.0,
         mixed_read_share=(mixed_reads / reads) if reads else 0.0,
-        read_fraction=reads / max(1, reads + writes),
+        read_fraction=reads / max(1, reads + writes_count),
     )

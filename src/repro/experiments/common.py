@@ -10,12 +10,20 @@ from repro.core.batch import BatchUnsupportedError, batch_replay
 from repro.core.config import TechniqueConfig, build_translator
 from repro.core.recorders import Recorder
 from repro.core.simulator import RetryPolicy, RunResult, Simulator
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.trace import Trace
 from repro.util.io import atomic_write_json
 from repro.workloads import synthesize_workload
 
-_TRACE_CACHE_MAX = 16
-_trace_cache: "OrderedDict[Tuple[str, int, float], Trace]" = OrderedDict()
+#: Byte budget of the :func:`workload_trace` memo.  A full Table I set at
+#: scale 1.0 is ~661k ops x 25 B of columns (~16 MiB), so every exhibit's
+#: 21-workload walk stays resident up to scale ~4, while the budget stays
+#: below the ~80 MiB that 16 object-backed traces used to pin.
+_TRACE_CACHE_BYTES = 64 << 20
+#: Memory of one materialized ``IORequest`` plus its list slot, charged
+#: against the budget once a reference-path consumer materializes a trace.
+_REQUEST_BYTES = 170
+_trace_cache: "OrderedDict[Tuple[str, int, float], ColumnarTrace]" = OrderedDict()
 
 _trace_store = None
 
@@ -43,21 +51,44 @@ def trace_store():
     return _trace_store
 
 
+def _cached_bytes(trace: ColumnarTrace) -> int:
+    size = trace.columns.nbytes
+    if trace.materialized:
+        size += len(trace) * _REQUEST_BYTES
+    return size
+
+
 def workload_trace(name: str, seed: int, scale: float) -> Trace:
     """Memoized synthetic trace for a Table I workload.
 
     Several exhibits replay the same workloads; generating each trace once
     per (name, seed, scale) keeps a full ``all`` run fast and guarantees
-    every exhibit sees the identical trace.  The cache is a small LRU
-    (``_TRACE_CACHE_MAX`` entries) so a large-scale ``all`` run doesn't
-    accumulate every workload it ever touched in memory.  When a compiled
-    store is active (:func:`set_trace_store`), misses consult it before
-    synthesizing and compile what they synthesize.
+    every exhibit sees the identical trace.  Traces are columnar
+    (:class:`~repro.trace.columnar.ColumnarTrace`) and the memo is an LRU
+    bounded in bytes (``_TRACE_CACHE_BYTES``), which holds a whole Table I
+    set at scale 1.0: each exhibit walks all 21 workloads in turn, and
+    any entry-count LRU smaller than that walk misses on every access.  A
+    trace some consumer has materialized into ``IORequest`` objects is
+    charged for them, so reference-path runs evict sooner instead of
+    growing memory.  When a compiled store is active
+    (:func:`set_trace_store`), misses consult it before synthesizing and
+    compile what they synthesize.
     """
     key = (name, seed, scale)
-    if key in _trace_cache:
+    trace = _trace_cache.get(key)
+    if trace is None:
+        trace = _load_or_synthesize(name, seed, scale)
+        _trace_cache[key] = trace
+    else:
         _trace_cache.move_to_end(key)
-        return _trace_cache[key]
+    total = sum(_cached_bytes(cached) for cached in _trace_cache.values())
+    while total > _TRACE_CACHE_BYTES:
+        _, evicted = _trace_cache.popitem(last=False)
+        total -= _cached_bytes(evicted)
+    return trace
+
+
+def _load_or_synthesize(name: str, seed: int, scale: float) -> ColumnarTrace:
     trace = None
     meta = None
     if _trace_store is not None:
@@ -73,9 +104,6 @@ def workload_trace(name: str, seed: int, scale: float) -> Trace:
         trace = synthesize_workload(name, seed=seed, scale=scale)
         if _trace_store is not None:
             _trace_store.store(trace, meta)
-    _trace_cache[key] = trace
-    while len(_trace_cache) > _TRACE_CACHE_MAX:
-        _trace_cache.popitem(last=False)
     return trace
 
 
@@ -111,7 +139,7 @@ def clear_trace_cache() -> None:
 
 
 def trace_cache_size() -> int:
-    """Number of traces currently memoized (bounded by the LRU limit)."""
+    """Number of traces currently memoized (bounded by the LRU byte budget)."""
     return len(_trace_cache)
 
 

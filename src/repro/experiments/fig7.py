@@ -30,7 +30,8 @@ def run(seed: int = 42, scale: float = 1.0, out_dir: Optional[str] = None) -> di
     data = {}
     for name in FIG7_WORKLOADS:
         trace = workload_trace(name, seed, scale)
-        write_lbas = [r.lba for r in trace if r.is_write]
+        is_read, lba, _ = trace.as_arrays()
+        write_lbas = lba[~is_read].tolist()
         window = write_lbas[:SAMPLE_OPS]
         data[name] = {
             "sample_ops": len(window),

@@ -211,7 +211,9 @@ def _run_queries(
     clients: Dict[str, ReplayClient] = {}
     try:
         turn = 0
-        while not stop.wait(interval_s):
+        # The first round queries every tenant without waiting, so a run
+        # shorter than ``interval_s`` still records one query per tenant.
+        while turn < len(runs) or not stop.wait(interval_s):
             run = runs[turn % len(runs)]
             turn += 1
             if not run.opened.is_set():

@@ -100,6 +100,14 @@ class TraceColumns:
     def __len__(self) -> int:
         return len(self.timestamp)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the four columns (25 per op)."""
+        return sum(
+            column.nbytes
+            for column in (self.timestamp, self.is_read, self.lba, self.length)
+        )
+
     @classmethod
     def empty(cls) -> "TraceColumns":
         return cls(

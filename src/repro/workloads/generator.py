@@ -13,13 +13,19 @@ the spec's mix weights.  This produces the structures the paper measures:
   §III case);
 * the phase beat yields the temporal burstiness of Fig. 3.
 
-Traces are pure functions of ``(spec, seed, scale)``.
+Traces are pure functions of ``(spec, seed, scale)``.  The generator
+appends each op to four flat columns and returns a
+:class:`~repro.trace.columnar.ColumnarTrace`, so vectorized consumers (the
+batch kernels, :meth:`~repro.trace.trace.Trace.content_key`, the analysis
+helpers) never pay for per-op :class:`~repro.trace.record.IORequest`
+objects; reference-path consumers materialize them on first iteration.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.trace.columnar import ColumnarTrace, TraceColumns
 from repro.trace.record import IORequest, OpType
 from repro.trace.trace import Trace
 from repro.util.rngtools import SeedSequenceFactory
@@ -62,6 +68,26 @@ def _interleave_schedule(groups: List[Tuple[str, int]]) -> List[str]:
             positioned.append(((i + 0.5) / count, order, tag))
     positioned.sort()
     return [tag for _, _, tag in positioned]
+
+
+def _checked_columns(
+    stamps: List[float], reads: List[bool], lbas: List[int], lengths: List[int]
+) -> TraceColumns:
+    """Pack the emitted ops into columns under :class:`IORequest`'s contract.
+
+    Clean output (every address and length a plain ``int``, ``lba >= 0``,
+    ``length > 0``) is checked in a few C-level passes.  Anything else is
+    re-validated row by row through :class:`IORequest`, which raises the
+    exact ``TypeError``/``ValueError`` it always has for the first bad op.
+    """
+    if lbas and not (
+        set(map(type, lbas)) == set(map(type, lengths)) == {int}
+        and min(lbas) >= 0
+        and min(lengths) > 0
+    ):
+        for stamp, is_read, lba, length in zip(stamps, reads, lbas, lengths):
+            IORequest(stamp, OpType.READ if is_read else OpType.WRITE, lba, length)
+    return TraceColumns(stamps, reads, lbas, lengths)
 
 
 class WorkloadGenerator:
@@ -140,12 +166,18 @@ class WorkloadGenerator:
         writes_per_phase = _split_counts(n_writes, write_phase_weights)
         reads_per_phase = _split_counts(n_reads, tuple([1.0] * spec.phases))
 
-        requests: List[IORequest] = []
+        stamps: List[float] = []
+        reads: List[bool] = []
+        lbas: List[int] = []
+        lengths: List[int] = []
         clock = 0.0
 
-        def emit(op: OpType, lba: int, length: int) -> None:
+        def emit(is_read: bool, lba: int, length: int) -> None:
             nonlocal clock
-            requests.append(IORequest(clock, op, lba, length))
+            stamps.append(clock)
+            reads.append(is_read)
+            lbas.append(lba)
+            lengths.append(length)
             clock += _OP_INTERVAL_S
 
         def emit_write(tag: str) -> None:
@@ -161,7 +193,7 @@ class WorkloadGenerator:
             else:  # random
                 lba, length = write_random.emit()
                 in_hot = hot_start <= lba < hot_start + hot_len
-            emit(OpType.WRITE, lba, length)
+            emit(False, lba, length)
             log.note_write(lba, length, in_hot=in_hot)
 
         for phase in range(spec.phases):
@@ -188,22 +220,24 @@ class WorkloadGenerator:
                 span = read_replay.emit()
                 if span is None:
                     span = read_random.emit()
-                emit(OpType.READ, span[0], span[1])
+                emit(True, span[0], span[1])
             for _ in range(rd_counts[0]):  # sequential scans of the hot region
                 lba, length = read_scan.emit()
-                emit(OpType.READ, lba, length)
+                emit(True, lba, length)
             for _ in range(rd_counts[2]):  # Zipf re-reads around hot extents
                 span = self._hot_read_span(read_hot, hot_rng, hot_start, hot_len)
                 if span is None:
                     span = read_random.emit()
-                emit(OpType.READ, span[0], span[1])
+                emit(True, span[0], span[1])
             for _ in range(rd_counts[1]):  # random reads
                 lba, length = read_random.emit()
-                emit(OpType.READ, lba, length)
+                emit(True, lba, length)
 
             clock += _PHASE_GAP_S
 
-        return Trace(requests, name=spec.name)
+        return ColumnarTrace(
+            _checked_columns(stamps, reads, lbas, lengths), name=spec.name
+        )
 
     def _hot_read_span(
         self,
